@@ -267,4 +267,43 @@ func TestCLIEndToEnd(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(csvdir, "table04.csv")); err != nil {
 		t.Fatalf("missing CSV export: %v", err)
 	}
+	assertGoldenFile(t, filepath.Join(csvdir, "table04.csv"), "testdata/cli_table04_w0.csv")
+
+	// 5b. The same table with two walkers per estimate, and the ablation
+	// studies (exploration cost models, thinning, non-backtracking walk):
+	// all pinned byte for byte.
+	csvdir2 := filepath.Join(dir, "csv2")
+	run(t, reproduce, "-table", "4", "-reps", "3", "-scale", "0.1", "-burnin", "100", "-walkers", "2", "-csvdir", csvdir2)
+	assertGoldenFile(t, filepath.Join(csvdir2, "table04.csv"), "testdata/cli_table04_w2.csv")
+
+	var ablations strings.Builder
+	for _, line := range strings.SplitAfter(run(t, reproduce, "-ablations"), "\n") {
+		if !strings.HasPrefix(line, "[ablations took") {
+			ablations.WriteString(line)
+		}
+	}
+	assertGolden(t, "reproduce -ablations", ablations.String(), "testdata/cli_ablations.txt")
+}
+
+// assertGoldenFile fails unless the file at path matches the golden file
+// byte for byte.
+func assertGoldenFile(t *testing.T, path, golden string) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGolden(t, path, string(got), golden)
+}
+
+// assertGolden fails unless got matches the golden file byte for byte.
+func assertGolden(t *testing.T, what, got, golden string) {
+	t.Helper()
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from %s:\n--- got\n%s\n--- golden\n%s", what, golden, got, want)
+	}
 }

@@ -1,20 +1,22 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/estimate"
 	"repro/internal/graph"
 )
 
 // This file holds the estimator-aggregation stage of NeighborSample and
-// NeighborExploration as streaming accumulators: algorithms feed one sample
-// at a time and read the finished result at the end, so a live walk, a
-// per-pair replay and the fused multi-query replay pass all drive the exact
-// same arithmetic in the exact same order. The serial mode mirrors the
-// historical single-walk code operation for operation — the golden serial
-// test pins it — and the parallel mode mirrors the multi-walker merging of
-// engine.go. Walker boundaries are explicit (beginWalker/endWalker) so the
-// per-walker sub-estimates behind the confidence intervals accumulate
-// exactly as the historical per-walker loops did.
+// NeighborExploration as streaming accumulators over a recorded walk:
+// replays feed one sample at a time, with its Horvitz–Thompson dedup
+// outcome precomputed, and read the finished result at the end. The
+// one-pair replays behind NeighborSample and NeighborExploration and the
+// fused multi-query pass all drive the same arithmetic in the same order.
+// Walker boundaries are explicit (beginWalker/endWalker) so the per-walker
+// sub-estimates behind the confidence intervals accumulate walker by
+// walker; the serial mode keeps per-sample HH terms for the batch-means SE
+// instead.
 
 // nsAgg streams edge samples into the NeighborSample estimators.
 type nsAgg struct {
@@ -38,94 +40,57 @@ type nsAgg struct {
 	wht   *estimate.HorvitzThompson[graph.Edge]
 	wincl float64
 	wn    int // sample count of the current walker
-	wi    int // sample index within the current walker
 }
 
 // newNSAgg sizes a NeighborSample accumulator for per-walker sample counts
-// known up front (replays know them from the walker extents; live walks pass
-// the lengths of the sample slices they buffered). serial selects the
-// single-walk aggregation; otherwise the multi-walker merging is used with
-// len(perCounts) walkers.
+// known up front (from the walker extents or the recorded walks). serial
+// selects the single-walk aggregation; otherwise the multi-walker merging is
+// used with len(perCounts) walkers.
 func newNSAgg(numEdges float64, thinGap int, serial bool, perCounts []int) (*nsAgg, error) {
+	retained, err := pooledRetained(perCounts, thinGap)
+	if err != nil {
+		return nil, err
+	}
 	a := &nsAgg{
 		numEdges: numEdges,
 		thinGap:  thinGap,
 		serial:   serial,
 		walkers:  len(perCounts),
+		incl:     estimate.InclusionProbability(1/numEdges, retained),
 		hh:       &estimate.HansenHurwitz{},
 		ht:       &estimate.HorvitzThompson[graph.Edge]{},
 	}
 	if serial {
-		n := perCounts[0]
-		retained := n
-		if thinGap > 1 {
-			retained = n / thinGap
-			if retained == 0 {
-				return nil, errNoRetained(thinGap, n)
-			}
-		}
-		a.incl = estimate.InclusionProbability(1/numEdges, retained)
-		a.hhTerms = make([]float64, 0, n)
-		return a, nil
+		a.hhTerms = make([]float64, 0, perCounts[0])
+	} else {
+		a.perHH = make([]float64, 0, len(perCounts))
+		a.perHT = make([]float64, 0, len(perCounts))
 	}
+	return a, nil
+}
+
+// pooledRetained is how many samples of all walkers survive the thinning
+// gap — the pooled HT sample size — failing when none does.
+func pooledRetained(perCounts []int, thinGap int) (int, error) {
 	retained, total := 0, 0
 	for _, n := range perCounts {
 		retained += retainedCount(n, thinGap)
 		total += n
 	}
 	if retained == 0 {
-		return nil, errNoRetained(thinGap, total)
+		return 0, fmt.Errorf("core: thinning gap %d leaves no samples out of %d", thinGap, total)
 	}
-	a.incl = estimate.InclusionProbability(1/numEdges, retained)
-	a.perHH = make([]float64, 0, len(perCounts))
-	a.perHT = make([]float64, 0, len(perCounts))
-	return a, nil
+	return retained, nil
 }
 
 // beginWalker opens the next walker's sample stream of n samples.
 func (a *nsAgg) beginWalker(n int) {
-	a.wi = 0
 	a.wn = n
 	if !a.serial {
 		a.whh = &estimate.HansenHurwitz{}
 		a.wht = &estimate.HorvitzThompson[graph.Edge]{}
 		a.wincl = estimate.InclusionProbability(1/a.numEdges, retainedCount(n, a.thinGap))
 	}
-}
-
-// add streams one retained walk transition.
-func (a *nsAgg) add(e graph.Edge, target bool) error {
-	a.samples++
-	indicator := 0.0
-	if target {
-		indicator = 1
-		a.targetHits++
-	}
-	// HH term: I(X_i)/π(X_i) with π = 1/|E| (uniform edge sample).
-	term := indicator * a.numEdges
-	if a.serial {
-		a.hhTerms = append(a.hhTerms, term)
-	}
-	if err := a.hh.Add(term, 1); err != nil {
-		return err
-	}
-	if !a.serial {
-		if err := a.whh.Add(term, 1); err != nil {
-			return err
-		}
-	}
-	if a.thinGap <= 1 || a.wi%a.thinGap == 0 {
-		if err := a.ht.Add(e, indicator, a.incl); err != nil {
-			return err
-		}
-		if !a.serial {
-			if err := a.wht.Add(e, indicator, a.wincl); err != nil {
-				return err
-			}
-		}
-	}
-	a.wi++
-	return nil
 }
 
 // addIndexed streams one retained walk transition whose Horvitz–Thompson
@@ -218,52 +183,37 @@ type neAgg struct {
 	wrw  *estimate.Reweighted
 	wret int
 	wn   int
-	wi   int
 }
 
 // newNEAgg sizes a NeighborExploration accumulator; see newNSAgg.
 func newNEAgg(numEdges, numNodes float64, thinGap int, serial bool, perCounts []int) (*neAgg, error) {
+	retained, err := pooledRetained(perCounts, thinGap)
+	if err != nil {
+		return nil, err
+	}
 	a := &neAgg{
 		numEdges: numEdges,
 		numNodes: numNodes,
 		thinGap:  thinGap,
 		serial:   serial,
 		walkers:  len(perCounts),
+		retained: retained,
 		hh:       &estimate.HansenHurwitz{},
 		ht:       &estimate.HorvitzThompson[graph.Node]{},
 		rw:       &estimate.Reweighted{},
 	}
 	if serial {
-		n := perCounts[0]
-		retained := n
-		if thinGap > 1 {
-			retained = n / thinGap
-			if retained == 0 {
-				return nil, errNoRetained(thinGap, n)
-			}
-		}
-		a.retained = retained
-		a.hhTerms = make([]float64, 0, n)
-		return a, nil
+		a.hhTerms = make([]float64, 0, perCounts[0])
+	} else {
+		a.perHH = make([]float64, 0, len(perCounts))
+		a.perHT = make([]float64, 0, len(perCounts))
+		a.perRW = make([]float64, 0, len(perCounts))
 	}
-	retained, total := 0, 0
-	for _, n := range perCounts {
-		retained += retainedCount(n, thinGap)
-		total += n
-	}
-	if retained == 0 {
-		return nil, errNoRetained(thinGap, total)
-	}
-	a.retained = retained
-	a.perHH = make([]float64, 0, len(perCounts))
-	a.perHT = make([]float64, 0, len(perCounts))
-	a.perRW = make([]float64, 0, len(perCounts))
 	return a, nil
 }
 
 // beginWalker opens the next walker's sample stream of n samples.
 func (a *neAgg) beginWalker(n int) {
-	a.wi = 0
 	a.wn = n
 	if !a.serial {
 		a.whh = &estimate.HansenHurwitz{}
@@ -271,51 +221,6 @@ func (a *neAgg) beginWalker(n int) {
 		a.wrw = &estimate.Reweighted{}
 		a.wret = retainedCount(n, a.thinGap)
 	}
-}
-
-// add streams one retained walk position with its exploration outcome.
-func (a *neAgg) add(u graph.Node, t, d int) error {
-	a.samples++
-	a.targetEdgeMass += int64(t)
-	// HH (Eq. 11): average of |E|·T(u)/d(u); |E|/d(u) is the
-	// 1/(2·π(u)) factor with π(u) = d(u)/2|E|.
-	term := float64(t) * a.numEdges / float64(d)
-	if a.serial {
-		a.hhTerms = append(a.hhTerms, term)
-	}
-	if err := a.hh.Add(term, 1); err != nil {
-		return err
-	}
-	if !a.serial {
-		if err := a.whh.Add(term, 1); err != nil {
-			return err
-		}
-	}
-	if a.serial {
-		// RW (Eq. 19): ratio of Σ T/d to 2·Σ 1/d, scaled by |V|.
-		if err := a.rw.Add(float64(t), float64(d)); err != nil {
-			return err
-		}
-	} else {
-		if err := a.wrw.Add(float64(t), float64(d)); err != nil {
-			return err
-		}
-	}
-	// HT (Eq. 13): distinct nodes, inclusion 1−(1−d(u)/2|E|)^m.
-	if a.thinGap <= 1 || a.wi%a.thinGap == 0 {
-		incl := estimate.InclusionProbability(float64(d)/(2*a.numEdges), a.retained)
-		if err := a.ht.Add(u, float64(t), incl); err != nil {
-			return err
-		}
-		if !a.serial {
-			winc := estimate.InclusionProbability(float64(d)/(2*a.numEdges), a.wret)
-			if err := a.wht.Add(u, float64(t), winc); err != nil {
-				return err
-			}
-		}
-	}
-	a.wi++
-	return nil
 }
 
 // addIndexed streams one retained walk position using precomputed replay
@@ -396,91 +301,4 @@ func (a *neAgg) finishInto(res *NeighborExplorationResult) {
 	res.RWCI = estimate.CIFromEstimates(a.perRW, ciLevel)
 	res.HHStdErr = res.HHCI.StdErr
 	res.Walkers = a.walkers
-}
-
-// aggregateNSSerial computes the NeighborSample estimators over one walker's
-// ordered edge samples, filling every field of res except APICalls.
-func aggregateNSSerial(res *NeighborSampleResult, samples []edgeSample, numEdges float64, thinGap int) error {
-	a, err := newNSAgg(numEdges, thinGap, true, []int{len(samples)})
-	if err != nil {
-		return err
-	}
-	a.beginWalker(len(samples))
-	for _, sm := range samples {
-		if err := a.add(sm.e, sm.target); err != nil {
-			return err
-		}
-	}
-	a.endWalker()
-	a.finishInto(res)
-	return nil
-}
-
-// aggregateNSParallel pools per-walker edge samples in walker order into the
-// NeighborSample estimators and attaches between-walker confidence intervals,
-// filling every field of res except APICalls.
-func aggregateNSParallel(res *NeighborSampleResult, perSamples [][]edgeSample, numEdges float64, thinGap int) error {
-	counts := make([]int, len(perSamples))
-	for i, samples := range perSamples {
-		counts[i] = len(samples)
-	}
-	a, err := newNSAgg(numEdges, thinGap, false, counts)
-	if err != nil {
-		return err
-	}
-	for _, samples := range perSamples {
-		a.beginWalker(len(samples))
-		for _, sm := range samples {
-			if err := a.add(sm.e, sm.target); err != nil {
-				return err
-			}
-		}
-		a.endWalker()
-	}
-	a.finishInto(res)
-	return nil
-}
-
-// aggregateNESerial computes the NeighborExploration estimators over one
-// walker's ordered node samples, filling every field of res except APICalls
-// and Explorations (an access-time statistic the caller tracks).
-func aggregateNESerial(res *NeighborExplorationResult, samples []nodeSample, numEdges, numNodes float64, thinGap int) error {
-	a, err := newNEAgg(numEdges, numNodes, thinGap, true, []int{len(samples)})
-	if err != nil {
-		return err
-	}
-	a.beginWalker(len(samples))
-	for _, sm := range samples {
-		if err := a.add(sm.u, sm.t, sm.d); err != nil {
-			return err
-		}
-	}
-	a.endWalker()
-	a.finishInto(res)
-	return nil
-}
-
-// aggregateNEParallel pools per-walker node samples into the
-// NeighborExploration estimators with between-walker confidence intervals,
-// filling every field of res except APICalls and Explorations.
-func aggregateNEParallel(res *NeighborExplorationResult, perSamples [][]nodeSample, numEdges, numNodes float64, thinGap int) error {
-	counts := make([]int, len(perSamples))
-	for i, samples := range perSamples {
-		counts[i] = len(samples)
-	}
-	a, err := newNEAgg(numEdges, numNodes, thinGap, false, counts)
-	if err != nil {
-		return err
-	}
-	for _, samples := range perSamples {
-		a.beginWalker(len(samples))
-		for _, sm := range samples {
-			if err := a.add(sm.u, sm.t, sm.d); err != nil {
-				return err
-			}
-		}
-		a.endWalker()
-	}
-	a.finishInto(res)
-	return nil
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -187,9 +189,12 @@ func (v *assortVisitor) pooled(skip int) (coeff float64, used int, ok bool) {
 		if total == 0 {
 			return 0, 0, false
 		}
+		// Sum the squared shares in ascending label order: with more than
+		// two labels the float sum depends on term order, and map order is
+		// random.
 		var expected float64
-		for _, c := range dist {
-			p := c / total
+		for _, l := range slices.Sorted(maps.Keys(dist)) {
+			p := dist[l] / total
 			expected += p * p
 		}
 		if expected >= 1 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/exact"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -119,6 +120,42 @@ func TestAssortativityFusedMatchesSolo(t *testing.T) {
 		a, b := solo.(AssortativityResult), outs[0].(AssortativityResult)
 		if math.Float64bits(a.Coefficient) != math.Float64bits(b.Coefficient) || a.Used != b.Used {
 			t.Errorf("%s: fused %+v != solo %+v", variant, b, a)
+		}
+	}
+}
+
+// TestLabelAssortativityDeterministic: replaying one many-label trajectory
+// gives one coefficient and one CI, bit for bit. The coefficient sums a
+// squared share per label; with more than two labels that sum depends on
+// the order of its terms, so it must not follow Go's randomized map order.
+func TestLabelAssortativityDeterministic(t *testing.T) {
+	g, err := gen.Build(gen.Pokec, 0.2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, walkers := range []int{1, 2} {
+		traj, err := RecordTrajectory(newSession(t, g), 2000, Options{
+			BurnIn: 200, Rng: rand.New(rand.NewSource(5)), Start: -1,
+			Walkers: walkers, Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type bitsOf struct{ coeff, low, high, se uint64 }
+		seen := make(map[bitsOf]int)
+		for i := 0; i < 120; i++ {
+			out, err := RunTask(traj, "assortativity", TaskParams{Variant: "label"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := out.(AssortativityResult)
+			seen[bitsOf{
+				math.Float64bits(res.Coefficient), math.Float64bits(res.CI.Low),
+				math.Float64bits(res.CI.High), math.Float64bits(res.CI.StdErr),
+			}]++
+		}
+		if len(seen) != 1 {
+			t.Errorf("W=%d: %d distinct (coefficient, CI) bit patterns over 120 replays, want 1: %v", walkers, len(seen), seen)
 		}
 	}
 }

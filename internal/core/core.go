@@ -175,23 +175,22 @@ func newWalk(s osn.API, o Options, start graph.Node, rng *rand.Rand) (walk.Walke
 	}
 }
 
-// newBurnedInWalk builds the configured walk over the session and runs
-// burn-in. Accounting is reset afterwards so reported API calls cover only
-// the sampling phase, matching how the paper charges sample size
-// ("the nodes or edges encountered in the random walk before the mixing
-// time are not included in the sample set").
-func newBurnedInWalk(s *osn.Session, o Options) (walk.Walker[graph.Node], error) {
-	start, err := startNode(s, o.Start, o.Rng)
+// newBurnedInWalk builds the configured walk over api from the configured
+// or a random start and runs burn-in. Callers reset the accounting
+// afterwards so reported API calls cover only the sampling phase, matching
+// how the paper charges sample size ("the nodes or edges encountered in the
+// random walk before the mixing time are not included in the sample set").
+func newBurnedInWalk(api osn.API, o Options) (walk.Walker[graph.Node], error) {
+	start, err := startNode(api, o.Start, o.Rng)
 	if err != nil {
 		return nil, err
 	}
-	w, err := newWalk(s, o, start, o.Rng)
+	w, err := newWalk(api, o, start, o.Rng)
 	if err != nil {
 		return nil, err
 	}
 	if err := walk.BurninCtx[graph.Node](o.ctx(), w, o.BurnIn); err != nil {
 		return nil, fmt.Errorf("core: burn-in: %w", err)
 	}
-	s.ResetAccounting()
 	return w, nil
 }

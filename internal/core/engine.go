@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -18,172 +19,187 @@ type CI = estimate.CI
 // ciLevel is the nominal coverage of the reported intervals.
 const ciLevel = 0.95
 
-// clampWalkers bounds the fleet size so every walker gets a positive share
-// of k.
-func clampWalkers(walkers, k int) int {
-	if walkers > k {
-		walkers = k
-	}
-	if walkers < 1 {
-		walkers = 1
-	}
-	return walkers
+// recordPolicy is what the estimating algorithm decides about the one
+// recording loop; each caller keeps its own stop rule.
+type recordPolicy struct {
+	// lookAhead buys each arrival's friend list (and the start's) as the walk
+	// reaches it, so every step carries what any replay needs; the next step
+	// then leaves from the crawl cache. NeighborSample, which reads labels
+	// only, records without it: its walk never buys the last arrival's list.
+	lookAhead bool
+	// cost bills each walker's first arrival at a node carrying a label of
+	// pair: the NeighborExploration surcharge (see CostModel).
+	cost CostModel
+	pair graph.LabelPair
 }
 
-// nodeFleetConfig assembles the walk.FleetConfig shared by the node-walk
-// algorithms: start-node selection and chain construction against the
-// walker's meter.
-func nodeFleetConfig(s *osn.Session, k int, o Options, W int, sample func(r *walk.FleetRun[graph.Node]) error) walk.FleetConfig[graph.Node] {
-	return walk.FleetConfig[graph.Node]{
+// walkRecorder is one walker's recording state. Its step is the package's
+// only sampling loop: RecordTrajectory (serial and fleet), Recorder.Extend
+// and, through them, NeighborSample, NeighborExploration, ResumeRecording
+// and the serving layer all run it.
+type walkRecorder struct {
+	api   osn.API
+	w     walk.Walker[graph.Node]
+	pol   recordPolicy
+	prev  graph.Node
+	start TrajStart
+	steps []TrajStep
+	// explored dedups the exploration surcharge; nil when it is free.
+	explored map[graph.Node]struct{}
+}
+
+// newWalkRecorder starts recording the burned-in walk w through api. With
+// look-ahead it buys the start's friend list, which is the charge the first
+// step would otherwise pay, so the bill is unchanged.
+func newWalkRecorder(api osn.API, w walk.Walker[graph.Node], pol recordPolicy, capacity int) (*walkRecorder, error) {
+	r := &walkRecorder{api: api, w: w, pol: pol, prev: w.Current(), steps: make([]TrajStep, 0, capacity)}
+	if pol.cost != ExploreFree {
+		r.explored = make(map[graph.Node]struct{})
+	}
+	if pol.lookAhead {
+		ns, err := api.Neighbors(r.prev)
+		if err != nil {
+			return nil, fmt.Errorf("core: recording start node %d: %w", r.prev, err)
+		}
+		r.start = TrajStart{Node: r.prev, Degree: len(ns), Neighbors: ns}
+	}
+	return r, nil
+}
+
+// run records up to iters steps, asking stop (nil: never) before each
+// step after the first: a walker always records one step, even when the
+// prepaid start list used up its budget. With soft set, a charge the budget
+// refuses ends the walk normally (exhausted); otherwise it is an error.
+func (r *walkRecorder) run(ctx context.Context, iters int, stop func(n int) bool, soft bool) (exhausted bool, err error) {
+	for iter := 0; iter < iters; iter++ {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		if stop != nil && len(r.steps) > 0 && stop(len(r.steps)) {
+			return false, nil
+		}
+		if err := r.step(); err != nil {
+			if soft && errors.Is(err, osn.ErrBudgetExhausted) {
+				return true, nil
+			}
+			return false, fmt.Errorf("core: sampling step %d: %w", iter, err)
+		}
+	}
+	return false, nil
+}
+
+// step takes one walk step and records it, buying the arrival's friend list
+// and billing its exploration per the policy.
+func (r *walkRecorder) step() error {
+	cur, err := r.w.Step()
+	if err != nil {
+		return err
+	}
+	st := TrajStep{Prev: r.prev, Node: cur}
+	if r.pol.lookAhead {
+		ns, err := r.api.Neighbors(cur)
+		if err != nil {
+			return err
+		}
+		st.Degree, st.Neighbors = len(ns), ns
+	}
+	if r.explored != nil && (r.api.HasLabel(cur, r.pol.pair.T1) || r.api.HasLabel(cur, r.pol.pair.T2)) {
+		if _, seen := r.explored[cur]; !seen {
+			r.explored[cur] = struct{}{}
+			n := int64(1)
+			if r.pol.cost == ExplorePerNeighbor {
+				n = int64(st.Degree)
+			}
+			if err := r.api.ChargeFlat(n); err != nil {
+				return fmt.Errorf("core: billing exploration of node %d: %w", cur, err)
+			}
+		}
+	}
+	r.steps = append(r.steps, st)
+	r.prev = cur
+	return nil
+}
+
+// recording is the row-form output of recordWalks: per-walker steps, start
+// states (zero without look-ahead) and billed calls.
+type recording struct {
+	steps  [][]TrajStep
+	starts []TrajStart
+	calls  []int64
+}
+
+// lens returns each walker's recorded step count.
+func (rec recording) lens() []int {
+	n := make([]int, len(rec.steps))
+	for w, steps := range rec.steps {
+		n[w] = len(steps)
+	}
+	return n
+}
+
+// recordWalks runs one burned-in walk, or a fleet of opts.Walkers >= 2 over
+// the shared session, through the recording loop. k is the sample count,
+// or the API-call budget when opts.BudgetDriven is set. The serial walk
+// fails on any refused charge; fleet walkers share the budget softly (see
+// walk.RunFleet) and stop on their own share.
+func recordWalks(s *osn.Session, k int, opts Options, pol recordPolicy) (recording, error) {
+	if opts.Walkers <= 1 {
+		w, err := newBurnedInWalk(s, opts)
+		if err != nil {
+			return recording{}, err
+		}
+		s.ResetAccounting()
+		r, err := newWalkRecorder(s, w, pol, k)
+		if err != nil {
+			return recording{}, err
+		}
+		// Cache hits are free, so a budget-driven walk may take more steps
+		// than k; the cap prevents spinning once the whole graph is cached.
+		iters := k
+		if opts.BudgetDriven {
+			iters = 50 * k
+		}
+		budgetSpent := func(int) bool { return opts.BudgetDriven && s.Calls() >= int64(k) }
+		if _, err := r.run(opts.ctx(), iters, budgetSpent, false); err != nil {
+			return recording{}, err
+		}
+		return recording{steps: [][]TrajStep{r.steps}, starts: []TrajStart{r.start}, calls: []int64{s.Calls()}}, nil
+	}
+	W := min(opts.Walkers, k) // every walker gets a positive share of k
+	rec := recording{steps: make([][]TrajStep, W), starts: make([]TrajStart, W)}
+	calls, err := walk.RunFleet(walk.FleetConfig[graph.Node]{
 		Session:      s,
-		Ctx:          o.Ctx,
-		Seed:         o.Seed,
+		Ctx:          opts.Ctx,
+		Seed:         opts.Seed,
 		Walkers:      W,
 		K:            k,
-		BudgetDriven: o.BudgetDriven,
-		BurnIn:       o.BurnIn,
-		NewWalker: func(r *walk.FleetRun[graph.Node]) (walk.Walker[graph.Node], error) {
-			start, err := startNode(r.Meter, o.Start, r.Rng)
+		BudgetDriven: opts.BudgetDriven,
+		BurnIn:       opts.BurnIn,
+		NewWalker: func(fr *walk.FleetRun[graph.Node]) (walk.Walker[graph.Node], error) {
+			start, err := startNode(fr.Meter, opts.Start, fr.Rng)
 			if err != nil {
 				return nil, err
 			}
-			return newWalk(r.Meter, o, start, r.Rng)
+			return newWalk(fr.Meter, opts, start, fr.Rng)
 		},
-		Sample: sample,
-	}
-}
-
-// stopWalker reports whether a sampling-step error is a normal per-walker
-// stop (its budget share ran out) rather than a failure.
-func stopWalker(err error) bool { return errors.Is(err, osn.ErrBudgetExhausted) }
-
-// neighborSampleParallel is NeighborSample with W concurrent walkers over
-// one shared session. Each walker runs the identical serial sampling loop
-// against its private RNG stream and budget share; the per-walker samples
-// are merged in walker order, so the pooled HH/HT estimates are
-// deterministic for a fixed seed regardless of scheduling. Per-walker
-// estimates additionally yield variance-based confidence intervals.
-func neighborSampleParallel(s *osn.Session, pair graph.LabelPair, k int, opts Options) (NeighborSampleResult, error) {
-	var res NeighborSampleResult
-	W := clampWalkers(opts.Walkers, k)
-	perSamples := make([][]edgeSample, W)
-
-	cfg := nodeFleetConfig(s, k, opts, W, func(r *walk.FleetRun[graph.Node]) error {
-		samples := make([]edgeSample, 0, r.Quota)
-		prev := r.W.Current()
-		maxIters := r.MaxIters()
-		for iter := 0; iter < maxIters; iter++ {
-			if err := r.Ctx.Err(); err != nil {
-				return err
-			}
-			if r.Done(len(samples)) {
-				break
-			}
-			cur, err := r.W.Step()
+		Sample: func(fr *walk.FleetRun[graph.Node]) error {
+			// Fleet meters are uncapped (budget shares are enforced softly
+			// by Done), so the start fetch fails only on a real source
+			// error.
+			r, err := newWalkRecorder(fr.Meter, fr.W, pol, fr.Quota)
 			if err != nil {
-				if stopWalker(err) {
-					break
-				}
 				return err
 			}
-			e := graph.Edge{U: prev, V: cur}.Canonical()
-			prev = cur
-			target := r.Meter.HasLabel(e.U, pair.T1) && r.Meter.HasLabel(e.V, pair.T2) ||
-				r.Meter.HasLabel(e.U, pair.T2) && r.Meter.HasLabel(e.V, pair.T1)
-			samples = append(samples, edgeSample{e: e, target: target})
-		}
-		perSamples[r.ID] = samples
-		return nil
+			_, err = r.run(fr.Ctx, fr.MaxIters(), fr.Done, true)
+			rec.steps[fr.ID], rec.starts[fr.ID] = r.steps, r.start
+			return err
+		},
 	})
-	calls, err := walk.RunFleet(cfg)
 	if err != nil {
-		return res, err
+		return recording{}, err
 	}
-
-	if err := aggregateNSParallel(&res, perSamples, float64(s.NumEdges()), opts.ThinGap); err != nil {
-		return res, err
-	}
-	res.APICalls = sum64(calls)
-	return res, nil
-}
-
-// neighborExplorationParallel is NeighborExploration with W concurrent
-// walkers over one shared session; see neighborSampleParallel for the
-// merging and determinism contract. Exploration dedup is per-walker (each
-// crawler pays for its own profile reads), so Explorations may count a node
-// explored by two walkers twice — consistent with the per-walker billing.
-func neighborExplorationParallel(s *osn.Session, pair graph.LabelPair, k int, opts Options) (NeighborExplorationResult, error) {
-	var res NeighborExplorationResult
-	W := clampWalkers(opts.Walkers, k)
-	perSamples := make([][]nodeSample, W)
-	perExplorations := make([]int, W)
-
-	cfg := nodeFleetConfig(s, k, opts, W, func(r *walk.FleetRun[graph.Node]) error {
-		samples := make([]nodeSample, 0, r.Quota)
-		explored := make(map[graph.Node]bool)
-		maxIters := r.MaxIters()
-		for iter := 0; iter < maxIters; iter++ {
-			if err := r.Ctx.Err(); err != nil {
-				return err
-			}
-			if r.Done(len(samples)) {
-				break
-			}
-			u, err := r.W.Step()
-			if err != nil {
-				if stopWalker(err) {
-					break
-				}
-				return err
-			}
-			d, err := r.Meter.Degree(u) // crawl-cache hit: the walk already fetched u
-			if err != nil {
-				if stopWalker(err) {
-					break
-				}
-				return err
-			}
-			t, explores, err := targetDegree(r.Meter, u, pair)
-			if err != nil {
-				if stopWalker(err) {
-					break
-				}
-				return err
-			}
-			if explores && !explored[u] {
-				explored[u] = true
-				perExplorations[r.ID]++
-				switch opts.Cost {
-				case ExplorePerNode:
-					err = r.Meter.ChargeFlat(1)
-				case ExplorePerNeighbor:
-					err = r.Meter.ChargeFlat(int64(d))
-				}
-				if err != nil {
-					if stopWalker(err) {
-						break
-					}
-					return err
-				}
-			}
-			samples = append(samples, nodeSample{u: u, t: t, d: d})
-		}
-		perSamples[r.ID] = samples
-		return nil
-	})
-	calls, err := walk.RunFleet(cfg)
-	if err != nil {
-		return res, err
-	}
-
-	if err := aggregateNEParallel(&res, perSamples, float64(s.NumEdges()), float64(s.NumNodes()), opts.ThinGap); err != nil {
-		return res, err
-	}
-	for _, e := range perExplorations {
-		res.Explorations += e
-	}
-	res.APICalls = sum64(calls)
-	return res, nil
+	rec.calls = calls
+	return rec, nil
 }
 
 // sortPairEstimates orders a census descending by estimate, breaking ties
@@ -210,16 +226,10 @@ func retainedCount(n, gap int) int {
 	return n
 }
 
-func sum64(xs []int64) int64 {
-	var n int64
+func sum[T int | int64](xs []T) T {
+	var n T
 	for _, x := range xs {
 		n += x
 	}
 	return n
 }
-
-func errNoRetained(gap, n int) error {
-	return fmt.Errorf("core: thinning gap %d leaves no samples out of %d", gap, n)
-}
-
-func errCensusEmpty() error { return fmt.Errorf("core: EstimateCensus drew no samples") }

@@ -43,12 +43,6 @@ type NeighborSampleResult struct {
 	HTCI CI
 }
 
-// edgeSample is one retained walk transition.
-type edgeSample struct {
-	e      graph.Edge
-	target bool
-}
-
 // NeighborSample samples edges via a single simple random walk and returns
 // the HH and HT estimates of F for the target pair. Each post-burn-in walk
 // step traverses one edge, and that edge is a uniform sample from E
@@ -57,7 +51,9 @@ type edgeSample struct {
 // from either side, so each edge has probability 2·(1/2|E|) = 1/|E|.
 //
 // k is the number of samples, or the API-call budget when
-// opts.BudgetDriven is set (the paper's evaluation axis).
+// opts.BudgetDriven is set (the paper's evaluation axis). The walk is
+// recorded without look-ahead — the estimators read only the labels of each
+// traversed edge's endpoints — and replayed for the one pair.
 func NeighborSample(s *osn.Session, pair graph.LabelPair, k int, opts Options) (NeighborSampleResult, error) {
 	var res NeighborSampleResult
 	if err := opts.validate(); err != nil {
@@ -66,47 +62,57 @@ func NeighborSample(s *osn.Session, pair graph.LabelPair, k int, opts Options) (
 	if k <= 0 {
 		return res, fmt.Errorf("core: NeighborSample needs k > 0, got %d", k)
 	}
-	if opts.Walkers > 1 {
-		return neighborSampleParallel(s, pair, k, opts)
-	}
-	w, err := newBurnedInWalk(s, opts)
+	rec, err := recordWalks(s, k, opts, recordPolicy{})
 	if err != nil {
 		return res, err
 	}
+	return rec.replayNS(s, pair, opts)
+}
 
-	ctx := opts.ctx()
-	samples := make([]edgeSample, 0, k)
-	prev := w.Current()
-	// In budget-driven mode cache hits are free, so the walk may take more
-	// steps than k; the iteration cap prevents spinning once the whole
-	// graph is cached.
-	maxIters := k
-	if opts.BudgetDriven {
-		maxIters = 50 * k
-	}
-	for iter := 0; iter < maxIters; iter++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		if opts.BudgetDriven && s.Calls() >= int64(k) {
-			break
-		}
-		cur, err := w.Step()
-		if err != nil {
-			return res, fmt.Errorf("core: NeighborSample step %d: %w", iter, err)
-		}
-		e := graph.Edge{U: prev, V: cur}.Canonical()
-		prev = cur
-		target := s.HasLabel(e.U, pair.T1) && s.HasLabel(e.V, pair.T2) ||
-			s.HasLabel(e.U, pair.T2) && s.HasLabel(e.V, pair.T1)
-		samples = append(samples, edgeSample{e: e, target: target})
-	}
-
-	if err := aggregateNSSerial(&res, samples, float64(s.NumEdges()), opts.ThinGap); err != nil {
+// replayNS feeds the recorded walks, in walker order, through the
+// NeighborSample aggregators for one pair: the single-walk aggregation
+// (batch-means SE) for a serial run, otherwise the pooled one with
+// between-walker confidence intervals.
+func (rec recording) replayNS(s *osn.Session, pair graph.LabelPair, opts Options) (NeighborSampleResult, error) {
+	var res NeighborSampleResult
+	serial, gap := opts.Walkers <= 1, opts.ThinGap
+	lens := rec.lens()
+	a, err := newNSAgg(float64(s.NumEdges()), gap, serial, lens)
+	if err != nil {
 		return res, err
 	}
-	res.APICalls = s.Calls()
+	seen := make(map[graph.Edge]struct{}, sum(lens))
+	var seenW map[graph.Edge]struct{}
+	for _, steps := range rec.steps {
+		a.beginWalker(len(steps))
+		if !serial {
+			seenW = make(map[graph.Edge]struct{}, len(steps))
+		}
+		for i, st := range steps {
+			e := graph.Edge{U: st.Prev, V: st.Node}.Canonical()
+			target := s.HasLabel(e.U, pair.T1) && s.HasLabel(e.V, pair.T2) ||
+				s.HasLabel(e.U, pair.T2) && s.HasLabel(e.V, pair.T1)
+			retained := gap <= 1 || i%gap == 0
+			first := retained && addNew(seen, e)
+			firstW := retained && !serial && addNew(seenW, e)
+			if err := a.addIndexed(target, retained, first, firstW); err != nil {
+				return res, err
+			}
+		}
+		a.endWalker()
+	}
+	a.finishInto(&res)
+	res.APICalls = sum(rec.calls)
 	return res, nil
+}
+
+// addNew inserts e into seen and reports whether it was new.
+func addNew(seen map[graph.Edge]struct{}, e graph.Edge) bool {
+	if _, dup := seen[e]; dup {
+		return false
+	}
+	seen[e] = struct{}{}
+	return true
 }
 
 // NeighborSampleIndependent is the textbook Algorithm 1: k independent

@@ -343,7 +343,7 @@ func (v *censusVisitor) Result() (any, error) {
 	var res CensusResult
 	res.Samples = v.samples
 	if res.Samples == 0 {
-		return nil, errCensusEmpty()
+		return nil, fmt.Errorf("core: EstimateCensus drew no samples")
 	}
 	if v.useMasks {
 		for c := range v.lc.comboCnt {
@@ -366,14 +366,6 @@ func (v *censusVisitor) Result() (any, error) {
 	res.APICalls = v.t.APICalls
 	res.Walkers = v.t.Walkers
 	return res, nil
-}
-
-// censusHitsMasked is censusHits over mask columns: the set bits of the two
-// endpoint masks enumerate exactly the label sets censusHits reads through
-// the LabelReader, so the credited pair set — and the hit counts — are
-// identical.
-func censusHitsMasked(lc *labelCols, pm, nm uint64, hits map[graph.LabelPair]int, seen map[graph.LabelPair]struct{}) {
-	censusHitsMaskedN(lc, pm, nm, 1, hits, seen)
 }
 
 // censusHitsMaskedN credits one step's label pairs n times — the combo

@@ -265,7 +265,7 @@ func buildReplayCols(t *Trajectory) *replayCols {
 			if seenNodes.add(u) {
 				rc.nodeFirst[i] = true
 			}
-			// Bit-identical to what neAgg.add computes inline: same p
+			// Bit-identical to what replayNE computes inline: same p
 			// expression, same retained count.
 			rc.neIncl[i] = estimate.InclusionProbability(float64(d)/(2*numEdges), retTotal)
 			if !serial {

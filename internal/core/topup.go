@@ -41,26 +41,11 @@ type TopUpStats struct {
 // existence: a prefix is only reusable if replaying every estimator over it
 // reads byte-identical data.
 func (t *Trajectory) ValidateAgainst(g *graph.Graph) ([]int, int) {
-	sameResponse := func(u graph.Node, deg int, ns []graph.Node) bool {
-		if u < 0 || int(u) >= g.NumNodes() {
-			return false
-		}
-		if g.Degree(u) != deg || len(ns) != deg {
-			return false
-		}
-		cur := g.Neighbors(u)
-		for i, v := range ns {
-			if cur[i] != v {
-				return false
-			}
-		}
-		return true
-	}
 	w := t.NumWalkers()
 	prefixes := make([]int, w)
 	total := 0
 	for wi := 0; wi < w; wi++ {
-		if t.HasStarts() && !sameResponse(t.StartNode(wi), t.StartDegree(wi), t.StartNeighbors(wi)) {
+		if t.HasStarts() && !sameResponse(g, t.StartNode(wi), t.StartDegree(wi), t.StartNeighbors(wi)) {
 			continue
 		}
 		lo, hi := t.WalkerSpan(wi)
@@ -69,7 +54,7 @@ func (t *Trajectory) ValidateAgainst(g *graph.Graph) ([]int, int) {
 			if !g.HasEdge(t.StepPrev(i), t.StepNode(i)) {
 				break
 			}
-			if !sameResponse(t.StepNode(i), t.StepDegree(i), t.StepNeighbors(i)) {
+			if !sameResponse(g, t.StepNode(i), t.StepDegree(i), t.StepNeighbors(i)) {
 				break
 			}
 			n++
@@ -78,6 +63,21 @@ func (t *Trajectory) ValidateAgainst(g *graph.Graph) ([]int, int) {
 		total += n
 	}
 	return prefixes, total
+}
+
+// sameResponse reports whether a recorded response of node u (its degree
+// and friend list) is still exactly what g answers.
+func sameResponse(g *graph.Graph, u graph.Node, deg int, ns []graph.Node) bool {
+	if u < 0 || int(u) >= g.NumNodes() || g.Degree(u) != deg || len(ns) != deg {
+		return false
+	}
+	cur := g.Neighbors(u)
+	for i, v := range ns {
+		if cur[i] != v {
+			return false
+		}
+	}
+	return true
 }
 
 // prepaidResponses collects the old trajectory's recorded responses that are
@@ -90,16 +90,9 @@ func prepaidResponses(old *Trajectory, g *graph.Graph) map[graph.Node][]graph.No
 		if _, seen := resp[u]; seen {
 			return
 		}
-		if u < 0 || int(u) >= g.NumNodes() || g.Degree(u) != deg || len(ns) != deg {
-			return
+		if sameResponse(g, u, deg, ns) {
+			resp[u] = g.Neighbors(u) // share g's backing array, not the old arena
 		}
-		cur := g.Neighbors(u)
-		for i, v := range ns {
-			if cur[i] != v {
-				return
-			}
-		}
-		resp[u] = cur // share g's backing array, not the old arena
 	}
 	if old.HasStarts() {
 		for w := 0; w < old.NumWalkers(); w++ {

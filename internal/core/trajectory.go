@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/osn"
-	"repro/internal/walk"
 )
 
 // This file implements the shared-trajectory multi-query engine: one walk's
@@ -15,14 +14,13 @@ import (
 // the access model (a friend-list response carries profile snippets), so P
 // pairs cost one walk's API calls instead of P walks'.
 //
-// The recording loop charges exactly like NeighborExploration under the
-// ExploreFree cost model: one Step per iteration plus the arrived-at node's
-// neighbor-list fetch (which the next Step then gets from the crawl cache).
-// Replayed NeighborExploration estimates therefore match a standalone
-// NeighborExploration run bit for bit, in both sample-driven and
-// budget-driven mode; replayed NeighborSample estimates match a standalone
-// run bit for bit in sample-driven mode (in budget-driven mode NeighborSample
-// alone would have spent the neighbor-fetch call on one extra walk step).
+// NeighborSample and NeighborExploration are themselves the recording loop
+// of engine.go followed by a one-pair replay. A trajectory is recorded like
+// NeighborExploration under ExploreFree — each step buys the arrived-at
+// node's friend list ahead — so a replayed pair's NE result equals that
+// run's bit for bit. NeighborSample records without look-ahead: its
+// estimates equal a replay's in sample-driven mode, but its bill (and its
+// budget-driven stop) can differ by the last arrival's list.
 //
 // Storage is columnar: instead of per-step structs carrying their own
 // neighbor slices, a Trajectory holds flat prev/node/degree arrays, one
@@ -72,9 +70,6 @@ type LabelReader interface {
 	Labels(u graph.Node) []graph.Label
 	HasLabel(u graph.Node, l graph.Label) bool
 }
-
-// labelAPI is kept as the historical internal name.
-type labelAPI = LabelReader
 
 // Trajectory is a recorded multi-walker sample stream, reusable across label
 // pairs. It is immutable once recorded: replays only read it, so one
@@ -131,7 +126,7 @@ type Trajectory struct {
 	GraphVersion     uint64
 	GraphFingerprint uint64
 
-	labels  labelAPI
+	labels  LabelReader
 	colsH   *colsHolder
 	replayH *replayHolder
 }
@@ -400,162 +395,34 @@ func RecordTrajectory(s *osn.Session, k int, opts Options) (*Trajectory, error) 
 	if k <= 0 {
 		return nil, fmt.Errorf("core: RecordTrajectory needs k > 0, got %d", k)
 	}
-	if opts.Walkers > 1 {
-		return recordTrajectoryParallel(s, k, opts)
-	}
-	w, err := newBurnedInWalk(s, opts)
+	rec, err := recordWalks(s, k, opts, recordPolicy{lookAhead: true})
 	if err != nil {
 		return nil, err
 	}
+	return rec.trajectory(s, opts), nil
+}
 
-	ctx := opts.ctx()
-	start, err := recordStart(s, w.Current())
-	if err != nil {
-		return nil, err
-	}
-	steps := make([]TrajStep, 0, k)
-	prev := w.Current()
-	maxIters := k
-	if opts.BudgetDriven {
-		maxIters = 50 * k
-	}
-	for iter := 0; iter < maxIters; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// A budget-driven recording always takes at least one step, even
-		// when recordStart's prepaid call already consumed a budget of 1 —
-		// matching the historical loop, which checked the budget only
-		// after its first iteration's spend. The overshoot is the same one
-		// trailing-iteration overshoot the serial algorithms have.
-		if opts.BudgetDriven && s.Calls() >= int64(k) && len(steps) > 0 {
-			break
-		}
-		cur, err := w.Step()
-		if err != nil {
-			return nil, fmt.Errorf("core: RecordTrajectory step %d: %w", iter, err)
-		}
-		d, err := s.Degree(cur)
-		if err != nil {
-			return nil, err
-		}
-		ns, err := s.Neighbors(cur) // crawl-cache hit after Degree: free
-		if err != nil {
-			return nil, err
-		}
-		steps = append(steps, TrajStep{Prev: prev, Node: cur, Degree: d, Neighbors: ns})
-		prev = cur
-	}
-	t := NewTrajectoryFromSteps([][]TrajStep{steps}, []TrajStart{start})
-	t.Walkers = 1
-	t.APICalls = s.Calls()
-	t.PerWalkerCalls = []int64{s.Calls()}
+// trajectory assembles the recorded walks into a Trajectory over s's graph
+// priors, bound to s's labels.
+func (rec recording) trajectory(s *osn.Session, opts Options) *Trajectory {
+	t := NewTrajectoryFromSteps(rec.steps, rec.starts)
+	t.Walkers = len(rec.steps)
+	t.APICalls = sum(rec.calls)
+	t.PerWalkerCalls = rec.calls
 	t.NumNodes = s.NumNodes()
 	t.NumEdges = s.NumEdges()
 	t.ThinGap = opts.ThinGap
 	t.BurnIn = opts.BurnIn
 	t.BudgetDriven = opts.BudgetDriven
 	t.BindLabels(s)
-	return t, nil
-}
-
-// recordStart fetches the start node's friend list through the metered
-// access handle. The charge is exactly the one the first sampling Step would
-// have paid for the same list (every later Step hits the crawl cache because
-// the previous iteration's Degree call fetched the arrived-at node), so
-// recording the start state leaves the trajectory's total bill unchanged.
-func recordStart(api osn.API, u graph.Node) (TrajStart, error) {
-	d, err := api.Degree(u)
-	if err != nil {
-		return TrajStart{}, fmt.Errorf("core: recording start node %d: %w", u, err)
-	}
-	ns, err := api.Neighbors(u) // crawl-cache hit after Degree: free
-	if err != nil {
-		return TrajStart{}, err
-	}
-	return TrajStart{Node: u, Degree: d, Neighbors: ns}, nil
-}
-
-// recordTrajectoryParallel records W concurrent walkers over one shared
-// session, mirroring the fleet loops of engine.go (same RNG consumption per
-// iteration, so for a fixed seed the recorded streams are the exact streams a
-// standalone multi-walker estimate would sample).
-func recordTrajectoryParallel(s *osn.Session, k int, opts Options) (*Trajectory, error) {
-	W := clampWalkers(opts.Walkers, k)
-	perSteps := make([][]TrajStep, W)
-	perStarts := make([]TrajStart, W)
-
-	cfg := nodeFleetConfig(s, k, opts, W, func(r *walk.FleetRun[graph.Node]) error {
-		// Fleet meters are uncapped (budget shares are enforced softly by
-		// Done checks), so this can only fail on a real source error.
-		start, err := recordStart(r.Meter, r.W.Current())
-		if err != nil {
-			return err
-		}
-		perStarts[r.ID] = start
-		steps := make([]TrajStep, 0, r.Quota)
-		prev := r.W.Current()
-		maxIters := r.MaxIters()
-		for iter := 0; iter < maxIters; iter++ {
-			if err := r.Ctx.Err(); err != nil {
-				return err
-			}
-			// As in the serial loop: the start prefetch must not starve a
-			// walker whose budget share it consumed — every walker records
-			// at least one step.
-			if len(steps) > 0 && r.Done(len(steps)) {
-				break
-			}
-			cur, err := r.W.Step()
-			if err != nil {
-				if stopWalker(err) {
-					break
-				}
-				return err
-			}
-			d, err := r.Meter.Degree(cur)
-			if err != nil {
-				if stopWalker(err) {
-					break
-				}
-				return err
-			}
-			ns, err := r.Meter.Neighbors(cur) // crawl-cache hit after Degree: free
-			if err != nil {
-				if stopWalker(err) {
-					break
-				}
-				return err
-			}
-			steps = append(steps, TrajStep{Prev: prev, Node: cur, Degree: d, Neighbors: ns})
-			prev = cur
-		}
-		perSteps[r.ID] = steps
-		return nil
-	})
-	calls, err := walk.RunFleet(cfg)
-	if err != nil {
-		return nil, err
-	}
-	t := NewTrajectoryFromSteps(perSteps, perStarts)
-	t.Walkers = W
-	t.APICalls = sum64(calls)
-	t.PerWalkerCalls = calls
-	t.NumNodes = s.NumNodes()
-	t.NumEdges = s.NumEdges()
-	t.ThinGap = opts.ThinGap
-	t.BurnIn = opts.BurnIn
-	t.BudgetDriven = opts.BudgetDriven
-	t.BindLabels(s)
-	return t, nil
+	return t
 }
 
 // EstimateManyPairs replays a recorded trajectory through the paper's HH/HT
-// (and, for NeighborExploration, RW) aggregators for every given label pair —
-// the same estimators a live walk feeds, at zero additional API cost, in one
-// fused pass over the step columns (all pairs' aggregators advance together;
-// each still receives exactly the sample sequence a per-pair replay would
-// feed it). Serial trajectories replay through the serial aggregation
+// (and, for NeighborExploration, RW) aggregators for every given label pair,
+// at zero additional API cost, in one fused pass over the step columns (all
+// pairs' aggregators advance together; each still receives exactly the
+// sample sequence a per-pair replay would feed it). Serial trajectories replay through the serial aggregation
 // (batch-means standard errors); fleet trajectories through the multi-walker
 // merging (between-walker confidence intervals).
 func EstimateManyPairs(t *Trajectory, pairs []graph.LabelPair) ([]PairEstimates, error) {
@@ -575,10 +442,11 @@ func EstimateManyPairs(t *Trajectory, pairs []graph.LabelPair) ([]PairEstimates,
 	return v.estimates()
 }
 
-// ReplayTargetDegree recomputes T(u) for a recorded step from the step's
-// stored friend list, mirroring targetDegree without any API access. The
-// boolean reports whether the node carries a target label (i.e. whether a
-// live NeighborExploration run would have explored its neighborhood).
+// ReplayTargetDegree computes T(u) for a recorded step from the step's
+// stored friend list, without any API access. When u carries neither label
+// no incident edge can be a target edge, so T(u) = 0 without exploring
+// (Algorithm 2, line 4); the boolean reports whether u carries a target
+// label, i.e. whether NeighborExploration explores its neighborhood.
 func ReplayTargetDegree(labels LabelReader, st TrajStep, pair graph.LabelPair) (int, bool) {
 	hasT1 := labels.HasLabel(st.Node, pair.T1)
 	hasT2 := labels.HasLabel(st.Node, pair.T2)
@@ -606,15 +474,10 @@ func ReplayTargetDegree(labels LabelReader, st TrajStep, pair graph.LabelPair) (
 // overshoots it. The doubling workflow of repro.EstimateToPrecision is the
 // intended caller.
 type Recorder struct {
-	m      *osn.Meter
-	w      walk.Walker[graph.Node]
-	opts   Options
-	prev   graph.Node
-	start  TrajStart
-	steps  []TrajStep
-	nNodes int
-	nEdges int64
-	labels labelAPI
+	s    *osn.Session
+	m    *osn.Meter
+	r    *walkRecorder
+	opts Options
 }
 
 // NewRecorder builds a serial recorder over s: it picks a start node, burns
@@ -628,33 +491,17 @@ func NewRecorder(s *osn.Session, budget int64, opts Options) (*Recorder, error) 
 		return nil, fmt.Errorf("core: negative recorder budget %d", budget)
 	}
 	m := s.Meter(0) // unlimited during burn-in
-	start, err := startNode(m, opts.Start, opts.Rng)
+	w, err := newBurnedInWalk(m, opts)
 	if err != nil {
 		return nil, err
-	}
-	w, err := newWalk(m, opts, start, opts.Rng)
-	if err != nil {
-		return nil, err
-	}
-	if err := walk.BurninCtx[graph.Node](opts.ctx(), w, opts.BurnIn); err != nil {
-		return nil, fmt.Errorf("core: burn-in: %w", err)
 	}
 	m.Flush() // settle deferred burn-in debits before re-arming
 	m.Reset(budget)
-	ts, err := recordStart(m, w.Current())
+	r, err := newWalkRecorder(m, w, recordPolicy{lookAhead: true}, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Recorder{
-		m:      m,
-		w:      w,
-		opts:   opts,
-		prev:   w.Current(),
-		start:  ts,
-		nNodes: s.NumNodes(),
-		nEdges: s.NumEdges(),
-		labels: s,
-	}, nil
+	return &Recorder{s: s, m: m, r: r, opts: opts}, nil
 }
 
 // Extend continues the walk for up to k more samples, stopping early when
@@ -662,37 +509,9 @@ func NewRecorder(s *osn.Session, budget int64, opts Options) (*Recorder, error) 
 // whether the budget stopped the walk (which is a normal completion, not an
 // error).
 func (r *Recorder) Extend(k int) (added int, exhausted bool, err error) {
-	ctx := r.opts.ctx()
-	for added < k {
-		if err := ctx.Err(); err != nil {
-			return added, false, err
-		}
-		cur, err := r.w.Step()
-		if err != nil {
-			if stopWalker(err) {
-				return added, true, nil
-			}
-			return added, false, fmt.Errorf("core: Recorder step: %w", err)
-		}
-		d, err := r.m.Degree(cur)
-		if err != nil {
-			if stopWalker(err) {
-				return added, true, nil
-			}
-			return added, false, err
-		}
-		ns, err := r.m.Neighbors(cur) // crawl-cache hit after Degree: free
-		if err != nil {
-			if stopWalker(err) {
-				return added, true, nil
-			}
-			return added, false, err
-		}
-		r.steps = append(r.steps, TrajStep{Prev: r.prev, Node: cur, Degree: d, Neighbors: ns})
-		r.prev = cur
-		added++
-	}
-	return added, false, nil
+	before := len(r.r.steps)
+	exhausted, err = r.r.run(r.opts.ctx(), k, nil, true)
+	return len(r.r.steps) - before, exhausted, err
 }
 
 // Calls returns the sampling API calls billed so far (burn-in excluded).
@@ -702,21 +521,12 @@ func (r *Recorder) Calls() int64 {
 }
 
 // Samples returns the cumulative recorded sample count.
-func (r *Recorder) Samples() int { return len(r.steps) }
+func (r *Recorder) Samples() int { return len(r.r.steps) }
 
 // Trajectory snapshots the recording so far as a replayable Trajectory. The
 // snapshot copies the recorded rows into fresh columns (an O(samples) copy),
 // so it stays valid — and immutable — across later Extend calls.
 func (r *Recorder) Trajectory() *Trajectory {
-	r.m.Flush()
-	t := NewTrajectoryFromSteps([][]TrajStep{r.steps}, []TrajStart{r.start})
-	t.Walkers = 1
-	t.APICalls = r.m.Calls()
-	t.PerWalkerCalls = []int64{r.m.Calls()}
-	t.NumNodes = r.nNodes
-	t.NumEdges = r.nEdges
-	t.ThinGap = r.opts.ThinGap
-	t.BurnIn = r.opts.BurnIn
-	t.BindLabels(r.labels)
-	return t
+	rec := recording{steps: [][]TrajStep{r.r.steps}, starts: []TrajStart{r.r.start}, calls: []int64{r.Calls()}}
+	return rec.trajectory(r.s, r.opts)
 }
