@@ -403,7 +403,9 @@ func RecordTrajectory(s *osn.Session, k int, opts Options) (*Trajectory, error) 
 }
 
 // trajectory assembles the recorded walks into a Trajectory over s's graph
-// priors, bound to s's labels.
+// priors, bound to s's labels without keeping s alive: a session over the
+// in-memory graph binds the graph itself, any other source a LabelSnapshot
+// read once per referenced node.
 func (rec recording) trajectory(s *osn.Session, opts Options) *Trajectory {
 	t := NewTrajectoryFromSteps(rec.steps, rec.starts)
 	t.Walkers = len(rec.steps)
@@ -414,7 +416,13 @@ func (rec recording) trajectory(s *osn.Session, opts Options) *Trajectory {
 	t.ThinGap = opts.ThinGap
 	t.BurnIn = opts.BurnIn
 	t.BudgetDriven = opts.BudgetDriven
-	t.BindLabels(s)
+	if gs, ok := s.Source().(osn.GraphSource); ok {
+		t.BindLabels(gs.G)
+	} else {
+		ls := snapshotLabels(t, s)
+		ls.index(t.NumNodes)
+		t.BindLabels(ls)
+	}
 	return t
 }
 

@@ -373,3 +373,55 @@ func ringGraph(t testing.TB, n int) *graph.Graph {
 	}
 	return g
 }
+
+// TestPrepayLookupPrecedence pins lookup-backed prepayment: a node the
+// lookup holds is redeemed from it, a node a Prepay map also holds is served
+// from the map whichever was registered first, and both count in
+// PrepaidHits — on the sharded path and on the walker-local meter path,
+// which counts redemptions when it reconciles.
+func TestPrepayLookupPrecedence(t *testing.T) {
+	g := completeGraph(t, 16)
+	lookup := func(u graph.Node) ([]graph.Node, bool) {
+		switch u {
+		case 2:
+			return []graph.Node{7}, true
+		case 3:
+			return []graph.Node{8}, true
+		}
+		return nil, false
+	}
+	s, err := NewSessionFrom(WithLatency(NewGraphSource(g), 0, 0, 1), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.PrepayLookup(lookup)
+	s.Prepay(map[graph.Node][]graph.Node{2: {9}})
+	for u, want := range map[graph.Node]int{2: 9, 3: 8} {
+		adj, err := s.Neighbors(u)
+		if err != nil || len(adj) != 1 || int(adj[0]) != want {
+			t.Fatalf("node %d: got %v (%v), want [%d]", u, adj, err, want)
+		}
+	}
+	if adj, _ := s.Neighbors(4); len(adj) != g.NumNodes()-1 {
+		t.Fatalf("unprepaid node 4 served %v", adj)
+	}
+	if s.PrepaidHits() != 2 || s.Calls() != 3 {
+		t.Fatalf("PrepaidHits %d, Calls %d; want 2 and 3", s.PrepaidHits(), s.Calls())
+	}
+
+	gs, err := NewSession(g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs.PrepayLookup(lookup)
+	m := gs.Meter(0)
+	for _, u := range []graph.Node{3, 4, 3} {
+		if _, err := m.Neighbors(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Flush()
+	if gs.PrepaidHits() != 1 || gs.Calls() != 2 {
+		t.Fatalf("meter path: PrepaidHits %d, Calls %d; want 1 and 2", gs.PrepaidHits(), gs.Calls())
+	}
+}

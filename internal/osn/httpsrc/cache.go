@@ -302,9 +302,8 @@ func (c *Cache) PutLabels(u graph.Node, ls []graph.Label) error {
 	return nil
 }
 
-// NeighborResponses snapshots the cached friend lists — the map a Session is
-// primed with (see Client.PrimeSession). The slices are shared read-only
-// with the cache; the map is the caller's own.
+// NeighborResponses snapshots the cached friend lists. The slices are
+// shared read-only with the cache; the map is the caller's own.
 func (c *Cache) NeighborResponses() map[graph.Node][]graph.Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()

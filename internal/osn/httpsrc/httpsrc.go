@@ -5,8 +5,8 @@
 // handling, a client-side token-bucket rate limiter, per-request timeouts,
 // context cancellation, and a persistent append-only .osnc response cache
 // (cache.go) so an interrupted recording resumes without re-paying the
-// upstream. The cached responses are registered on each new metering
-// session via osn.Session.Prepay (see Client.PrimeSession), exactly like a
+// upstream. The response cache is registered on each new metering session
+// via osn.Session.PrepayLookup (see Client.PrimeSession), much like a
 // trajectory top-up: a resumed recording is billed identically to an
 // uninterrupted one, but its upstream fetch count for previously paid
 // responses is zero.
@@ -285,12 +285,14 @@ func (c *Client) Ping(ctx context.Context) error {
 	return nil
 }
 
-// PrimeSession implements osn.SessionPrimer: it registers every cached
-// neighbor response on s via Prepay, so redeeming them is billed like a
-// fresh fetch but costs the upstream nothing. Call before any metered
-// fetches on s; the serving layer does this for each new recording session.
+// PrimeSession implements osn.SessionPrimer: it registers the response
+// cache's own lookup on s via PrepayLookup, so redeeming a cached response
+// is billed like a fresh fetch but costs the upstream nothing. Nothing is
+// copied: priming costs the same whatever the cache holds. Call before any
+// metered fetches on s; the serving layer does this for each new recording
+// session.
 func (c *Client) PrimeSession(s *osn.Session) {
-	s.Prepay(c.cache.NeighborResponses())
+	s.PrepayLookup(c.cache.Neighbors)
 }
 
 // NumNodes implements osn.Source.

@@ -158,7 +158,7 @@ func (m *Meter) reconcile() {
 			word &= word - 1
 			if s.fetched[u].Swap(ep) != ep {
 				uniq++
-				if s.prepaid != nil && s.prepaid[u].Load() {
+				if _, ok := s.prepaidResponse(u); ok {
 					prepaidHits++
 				}
 			}

@@ -144,7 +144,10 @@ type Session struct {
 	// prepaidResp holds the carried-over responses when the Source is not
 	// an in-memory graph; read-only after Prepay.
 	prepaidResp map[graph.Node][]graph.Node
-	prepaidHits atomic.Int64
+	// prepaidLookup is a live view of carried-over responses (see
+	// PrepayLookup), consulted for nodes the prepaid map does not cover.
+	prepaidLookup func(graph.Node) ([]graph.Node, bool)
+	prepaidHits   atomic.Int64
 
 	failMu sync.Mutex // serializes FailureRng
 }
@@ -214,8 +217,9 @@ func clearEpochs(a []atomic.Uint32) {
 // every meter it issued — to the configured pool, for the next session over
 // the same graph size to reuse. It is a no-op for unpooled sessions. The
 // session and its meters must not perform any further metered access after
-// Release; free label reads (Labels, HasLabel) remain valid, so a recorded
-// trajectory bound to this session keeps replaying.
+// Release; free label reads (Labels, HasLabel) remain valid. A recorded
+// trajectory does not depend on them: it is bound to the graph or to its
+// own label snapshot (see core.RecordTrajectory), not to the session.
 func (s *Session) Release() {
 	if s.pool == nil {
 		return
@@ -307,8 +311,9 @@ func (s *Session) chargeRetry(u graph.Node) error {
 // core.ResumeRecording builds the map by filtering a stale trajectory's
 // recorded responses against the current graph. Call before any fetches;
 // Prepay must not race with in-flight calls. Successive calls merge (the
-// later call wins per node), so a source-side persistent cache (see
-// SessionPrimer) and a trajectory top-up can both prepay one session.
+// later call wins per node), and the merged map takes precedence over a
+// PrepayLookup view, so a source-side persistent cache (see SessionPrimer)
+// and a trajectory top-up can both prepay one session.
 func (s *Session) Prepay(resp map[graph.Node][]graph.Node) {
 	if len(resp) == 0 {
 		return
@@ -331,23 +336,49 @@ func (s *Session) Prepay(resp map[graph.Node][]graph.Node) {
 	}
 }
 
+// PrepayLookup is Prepay over a live view instead of a copy: lookup
+// answers a carried-over response (and whether it holds one) when a fetch
+// happens, such as a source's own response cache read in place (see
+// SessionPrimer). Nothing is copied and no per-node state is allocated;
+// responses registered with Prepay take precedence. The same contract
+// holds: each response must equal what the Source would return now. Call
+// before any fetches; a later call replaces the view. PrepaidHits then
+// counts the responses the view held when each fetch happened; answers and
+// charged calls are unaffected.
+func (s *Session) PrepayLookup(lookup func(graph.Node) ([]graph.Node, bool)) {
+	s.prepaidLookup = lookup
+}
+
 // PrepaidHits returns how many charged calls were served from prepaid
 // responses instead of the upstream Source since the last ResetAccounting —
-// the API spend a trajectory top-up inherited rather than re-bought.
+// the API spend a trajectory top-up inherited rather than re-bought. Under
+// PrepayLookup that includes responses the source cached during this
+// session's own earlier accounting phases (see PrepayLookup).
 func (s *Session) PrepaidHits() int64 { return s.prepaidHits.Load() }
+
+// prepaidResponse returns u's carried-over response, if any.
+func (s *Session) prepaidResponse(u graph.Node) ([]graph.Node, bool) {
+	if s.prepaid != nil && s.prepaid[u].Load() {
+		if s.graphFast != nil {
+			return s.graphFast.Neighbors(u), true
+		}
+		return s.prepaidResp[u], true
+	}
+	if s.prepaidLookup != nil {
+		return s.prepaidLookup(u)
+	}
+	return nil, false
+}
 
 // redeemPrepaid serves u from the prepaid responses if it is prepaid,
 // populating the crawl cache like fill does. Callers charge first, so
 // accounting is identical to a fresh fetch.
 func (s *Session) redeemPrepaid(u graph.Node) ([]graph.Node, bool) {
-	if s.prepaid == nil || !s.prepaid[u].Load() {
+	adj, ok := s.prepaidResponse(u)
+	if !ok {
 		return nil, false
 	}
-	var adj []graph.Node
-	if s.graphFast != nil {
-		adj = s.graphFast.Neighbors(u)
-	} else {
-		adj = s.prepaidResp[u]
+	if s.graphFast == nil {
 		sh := &s.shards[uint(u)%cacheShards]
 		sh.mu.Lock()
 		sh.m[u] = adj

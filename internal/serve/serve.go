@@ -1248,8 +1248,9 @@ func (e *Engine) record(ctx context.Context, key trajKey, ent *entry, stale *cor
 			traj, err = core.RecordTrajectory(s, key.budget, opts)
 		}
 		// All metered access is over: hand the session's pooled accounting
-		// arrays to the next recording. The trajectory's bound label reads
-		// stay valid after Release (and queries rebind to the graph anyway).
+		// arrays to the next recording. The trajectory does not hold the
+		// session: it is bound to the graph or to its own label snapshot,
+		// which the cache weight below and the .osnt save reuse.
 		s.Release()
 	}
 	var bytes int64

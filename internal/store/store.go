@@ -62,7 +62,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -98,88 +98,32 @@ const maxSaneWalkers = 1 << 20
 const flagBudgetDriven = 1 << 0
 
 // layout is the byte-level shape of one trajectory: the section counts the
-// header carries plus the interned label store, computed once and shared by
-// Write and EncodedSize so the two can never disagree.
+// header carries plus the interned label snapshot, computed once and shared
+// by Write and EncodedSize so the two can never disagree.
 type layout struct {
 	walkers        int
 	totalSteps     int64
 	totalNeighbors int64
 	// labelNodes holds the sorted distinct referenced nodes that carry at
-	// least one label; labelOff/labelRefs index their label sets into table.
+	// least one label; labelOff indexes their label sets in labelVals, whose
+	// values the file stores as indices into the sorted table.
 	labelNodes []graph.Node
 	labelOff   []uint32
 	table      []graph.Label
-	refs       []uint32
+	labelVals  []graph.Label
 }
 
-// computeLayout scans t once: section totals for the header, plus the
-// interned label store covering every node the trajectory references. The
-// columnar layout makes the scan four flat slice sweeps: every neighbor list
-// (starts and steps alike) lives in the shared arena, so the neighbor total
-// is just the arena length.
+// computeLayout reads the section totals off t's columns — every neighbor
+// list lives in the shared arena, so the neighbor total is the arena length
+// — and takes the label sections from t's LabelSnapshot, which a recording
+// through an external source or a decoded file already carries.
 func computeLayout(t *core.Trajectory) layout {
-	var lay layout
-	d := t.Data()
-	lay.walkers = t.NumWalkers()
-	lay.totalSteps = int64(t.Samples())
-	lay.totalNeighbors = int64(len(d.Arena))
-
-	referenced := make(map[graph.Node]struct{})
-	ref := func(u graph.Node) { referenced[u] = struct{}{} }
-	for _, u := range d.StartNode {
-		ref(u)
+	lay := layout{
+		walkers:        t.NumWalkers(),
+		totalSteps:     int64(t.Samples()),
+		totalNeighbors: int64(len(t.Data().Arena)),
 	}
-	for _, u := range d.Prev {
-		ref(u)
-	}
-	for _, u := range d.Node {
-		ref(u)
-	}
-	for _, u := range d.Arena {
-		ref(u)
-	}
-
-	// The label offsets section always carries its leading 0, even for a
-	// trajectory with no bound labels — ExpectedSize counts (L+1) offsets
-	// unconditionally, and Write must agree with it byte for byte.
-	lay.labelOff = []uint32{0}
-	labels := t.Labels()
-	if labels == nil {
-		return lay
-	}
-	nodes := make([]graph.Node, 0, len(referenced))
-	for u := range referenced {
-		nodes = append(nodes, u)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
-	distinct := make(map[graph.Label]struct{})
-	perNode := make([][]graph.Label, 0, len(nodes))
-	lay.labelNodes = nodes[:0]
-	for _, u := range nodes {
-		ls := labels.Labels(u)
-		if len(ls) == 0 {
-			continue // unlabeled nodes are represented by absence
-		}
-		lay.labelNodes = append(lay.labelNodes, u)
-		perNode = append(perNode, ls)
-		for _, l := range ls {
-			distinct[l] = struct{}{}
-		}
-	}
-	lay.table = make([]graph.Label, 0, len(distinct))
-	for l := range distinct {
-		lay.table = append(lay.table, l)
-	}
-	sort.Slice(lay.table, func(i, j int) bool { return lay.table[i] < lay.table[j] })
-
-	for _, ls := range perNode {
-		for _, l := range ls {
-			idx := sort.Search(len(lay.table), func(j int) bool { return lay.table[j] >= l })
-			lay.refs = append(lay.refs, uint32(idx))
-		}
-		lay.labelOff = append(lay.labelOff, uint32(len(lay.refs)))
-	}
+	lay.labelNodes, lay.labelOff, lay.table, lay.labelVals = t.LabelSnapshot().Sections()
 	return lay
 }
 
@@ -209,12 +153,13 @@ func EncodedSize(t *core.Trajectory) int64 {
 	}
 	lay := computeLayout(t)
 	return ExpectedSize(uint64(lay.walkers), uint64(lay.totalSteps), uint64(lay.totalNeighbors),
-		uint64(len(lay.labelNodes)), uint64(len(lay.table)), uint64(len(lay.refs)))
+		uint64(len(lay.labelNodes)), uint64(len(lay.table)), uint64(len(lay.labelVals)))
 }
 
 // Write serializes t to w in .osnt format. The write streams through a
-// buffered writer; memory overhead beyond the trajectory itself is the
-// interned label store (one entry per distinct referenced node).
+// buffered writer; memory overhead beyond the trajectory itself is, for a
+// trajectory not already bound to a LabelSnapshot, the snapshot built for
+// the write (one entry per distinct referenced node).
 func Write(w io.Writer, t *core.Trajectory) error {
 	if t == nil || t.NumWalkers() == 0 {
 		return fmt.Errorf("store: cannot write an empty trajectory")
@@ -247,7 +192,7 @@ func Write(w io.Writer, t *core.Trajectory) error {
 	binary.LittleEndian.PutUint64(hdr[56:64], uint64(lay.totalNeighbors))
 	binary.LittleEndian.PutUint64(hdr[64:72], uint64(len(lay.labelNodes)))
 	binary.LittleEndian.PutUint64(hdr[72:80], uint64(len(lay.table)))
-	binary.LittleEndian.PutUint64(hdr[80:88], uint64(len(lay.refs)))
+	binary.LittleEndian.PutUint64(hdr[80:88], uint64(len(lay.labelVals)))
 	binary.LittleEndian.PutUint64(hdr[88:96], t.GraphVersion)
 	binary.LittleEndian.PutUint64(hdr[96:104], t.GraphFingerprint)
 	if _, err := bw.Write(hdr[:]); err != nil {
@@ -287,8 +232,9 @@ func Write(w io.Writer, t *core.Trajectory) error {
 	for _, l := range lay.table {
 		enc.u32(uint32(l))
 	}
-	for _, r := range lay.refs {
-		enc.u32(r)
+	for _, l := range lay.labelVals {
+		ref, _ := slices.BinarySearch(lay.table, l)
+		enc.u32(uint32(ref))
 	}
 	if enc.err != nil {
 		return fmt.Errorf("store: writing trajectory sections: %w", enc.err)
@@ -494,36 +440,37 @@ func decode(raw []byte) (*core.Trajectory, error) {
 		return nil, fmt.Errorf("store: %d neighbor entries promised by the header were never consumed (corrupt file?)", neighborsLeft)
 	}
 
-	ls := &labelStore{
-		nodes: make([]graph.Node, labelNodes),
-		off:   make([]uint32, labelNodes+1),
-		vals:  make([]graph.Label, labelRefs),
-	}
-	for i := range ls.nodes {
+	labelNodeIDs := make([]graph.Node, labelNodes)
+	for i := range labelNodeIDs {
 		u, err := checkNode(dec.u32(), "labeled node")
 		if err != nil {
 			return nil, err
 		}
-		if i > 0 && u <= ls.nodes[i-1] {
+		if i > 0 && u <= labelNodeIDs[i-1] {
 			return nil, fmt.Errorf("store: labeled node IDs not strictly increasing at index %d (corrupt file?)", i)
 		}
-		ls.nodes[i] = u
+		labelNodeIDs[i] = u
 	}
-	for i := range ls.off {
-		ls.off[i] = dec.u32()
-		if i > 0 && ls.off[i] < ls.off[i-1] {
+	labelOff := make([]uint32, labelNodes+1)
+	for i := range labelOff {
+		labelOff[i] = dec.u32()
+		if i > 0 && labelOff[i] < labelOff[i-1] {
 			return nil, fmt.Errorf("store: label offsets decrease at index %d (corrupt file?)", i)
 		}
 	}
-	if dec.err == nil && (ls.off[0] != 0 || uint64(ls.off[labelNodes]) != labelRefs) {
+	if dec.err == nil && (labelOff[0] != 0 || uint64(labelOff[labelNodes]) != labelRefs) {
 		return nil, fmt.Errorf("store: label offsets span [%d,%d], refs section has %d (corrupt file?)",
-			ls.off[0], ls.off[labelNodes], labelRefs)
+			labelOff[0], labelOff[labelNodes], labelRefs)
 	}
 	table := make([]graph.Label, labelTable)
 	for i := range table {
 		table[i] = graph.Label(dec.u32())
+		if dec.err == nil && i > 0 && table[i] <= table[i-1] {
+			return nil, fmt.Errorf("store: label table not strictly increasing at index %d (corrupt file?)", i)
+		}
 	}
-	for i := range ls.vals {
+	vals := make([]graph.Label, labelRefs)
+	for i := range vals {
 		ref := dec.u32()
 		if dec.err != nil {
 			break
@@ -531,7 +478,7 @@ func decode(raw []byte) (*core.Trajectory, error) {
 		if uint64(ref) >= labelTable {
 			return nil, fmt.Errorf("store: label ref %d out of table range [0,%d)", ref, labelTable)
 		}
-		ls.vals[i] = table[ref]
+		vals[i] = table[ref]
 	}
 	if dec.err != nil {
 		return nil, fmt.Errorf("store: reading label sections: %w", dec.err)
@@ -539,7 +486,6 @@ func decode(raw []byte) (*core.Trajectory, error) {
 	if dec.off != len(dec.buf) {
 		return nil, fmt.Errorf("store: %d unparsed payload bytes (corrupt file?)", len(dec.buf)-dec.off)
 	}
-	ls.buildDense(int(numNodes))
 
 	t := &core.Trajectory{
 		Walkers:          W,
@@ -556,7 +502,7 @@ func decode(raw []byte) (*core.Trajectory, error) {
 	if err := t.SetData(data); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	t.BindLabels(ls)
+	t.BindLabels(core.NewLabelSnapshot(int(numNodes), labelNodeIDs, labelOff, table, vals))
 	return t, nil
 }
 
@@ -605,75 +551,6 @@ func Load(path string) (*core.Trajectory, error) {
 		return nil, fmt.Errorf("store: loading %s: %w", path, err)
 	}
 	return t, nil
-}
-
-// denseIndexMaxNodes bounds the graphs for which a loaded label store
-// builds its O(1) node → label-set index (4 bytes per graph node). Beyond
-// it, lookups fall back to binary search over the referenced nodes.
-const denseIndexMaxNodes = 1 << 24
-
-// labelStore is the self-contained label surface a .osnt file carries: the
-// label sets of every node the trajectory references, exactly as the
-// recording session read them. It satisfies core.LabelReader, so a loaded
-// trajectory replays through the estimation-task registry without the graph.
-type labelStore struct {
-	nodes []graph.Node // sorted distinct labeled nodes
-	off   []uint32     // len(nodes)+1 offsets into vals
-	vals  []graph.Label
-	// dense maps node ID → index into nodes/off (-1 = unlabeled); nil when
-	// the graph exceeds denseIndexMaxNodes. Label reads are the replay hot
-	// path (every census/motif step consults several), so the O(|V|) table
-	// keeps reloaded trajectories replaying at recorded-trajectory speed.
-	dense []int32
-}
-
-// buildDense materializes the O(1) lookup table when affordable.
-func (ls *labelStore) buildDense(numNodes int) {
-	if numNodes > denseIndexMaxNodes {
-		return
-	}
-	ls.dense = make([]int32, numNodes)
-	for i := range ls.dense {
-		ls.dense[i] = -1
-	}
-	for i, u := range ls.nodes {
-		ls.dense[u] = int32(i)
-	}
-}
-
-// find returns the index of u in the sorted node table, or -1.
-func (ls *labelStore) find(u graph.Node) int {
-	if ls.dense != nil {
-		if int(u) >= len(ls.dense) || u < 0 {
-			return -1
-		}
-		return int(ls.dense[u])
-	}
-	i := sort.Search(len(ls.nodes), func(j int) bool { return ls.nodes[j] >= u })
-	if i < len(ls.nodes) && ls.nodes[i] == u {
-		return i
-	}
-	return -1
-}
-
-// Labels returns u's stored label set; nodes absent from the store (or
-// recorded unlabeled) return nil, matching the graph's convention.
-func (ls *labelStore) Labels(u graph.Node) []graph.Label {
-	i := ls.find(u)
-	if i < 0 {
-		return nil
-	}
-	return ls.vals[ls.off[i]:ls.off[i+1]]
-}
-
-// HasLabel reports whether u's stored label set contains l.
-func (ls *labelStore) HasLabel(u graph.Node, l graph.Label) bool {
-	for _, have := range ls.Labels(u) {
-		if have == l {
-			return true
-		}
-	}
-	return false
 }
 
 // encoder writes little-endian words through a buffered writer, capturing
